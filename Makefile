@@ -2,7 +2,7 @@ GO ?= go
 
 # Determinism-gated experiments: each <exp>-det target (generated below)
 # replays experiment <exp> twice and diffs against results/<exp>.json.
-DET_EXPS := fabric scale grayfail slo dedup
+DET_EXPS := fabric scale grayfail slo dedup spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
 .PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench profile
@@ -63,6 +63,7 @@ bench:
 #   grayfail - fail-slow injection, hedged reads, deadline + admission control
 #   slo      - latency attribution, burn alerts, anomaly scoreboard
 #   dedup    - content-addressed tier (dedup ratio, first touch, fleet fork)
+#   spans    - per-stage histograms read back at full precision (means, p99s)
 .PHONY: $(DET_TARGETS)
 define det-rule
 $(1)-det:

@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"nesc/internal/core"
 	"nesc/internal/hypervisor"
+	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 	"nesc/internal/workload"
@@ -14,14 +16,32 @@ import (
 
 // Breakdown reports where a 4 KB request's chunks spend their time inside
 // the NeSC pipeline (paper Fig. 7's stages), for an idle and a loaded
-// device.
+// device. Each row sums the controller's stage histograms over every
+// function's chunks, the PF's image-build traffic included; verify chunks
+// count as transfer.
 func Breakdown(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Latency breakdown inside the NeSC pipeline (4KB writes, per 1KB chunk)",
 		"stage", "us", "QD 1", "QD 16")
+	rows := []struct {
+		label  string
+		stages []core.Stage
+	}{
+		{"vLBA queue wait", []core.Stage{core.StageQueue}},
+		{"translation (BTLB/walk)", []core.Stage{core.StageTranslate}},
+		{"pLBA queue wait", []core.Stage{core.StageDTUWait}},
+		{"DMA transfer (medium+PCIe)", []core.Stage{core.StageTransfer, core.StageVerify}},
+	}
 	for _, qd := range []int{1, 16} {
-		qd := qd
 		c := cfg
-		c.Core.CollectBreakdown = true
+		if c.Metrics == nil {
+			c.Metrics = metrics.New()
+		}
+		// A caller's registry keeps accumulating across platforms: each row
+		// reads the delta this platform adds.
+		before := make([]stageSum, len(rows))
+		for i, r := range rows {
+			before[i] = stageTotal(c.Metrics, r.stages)
+		}
 		pl := NewPlatform(c)
 		err := pl.Run(func(p *sim.Proc) error {
 			if err := pl.Boot(p); err != nil {
@@ -38,14 +58,36 @@ func Breakdown(cfg Config) ([]*stats.Table, error) {
 			return nil, err
 		}
 		col := fmt.Sprintf("QD %d", qd)
-		b := &pl.Ctl.Breakdown
-		tbl.Set("vLBA queue wait", col, b.QueueWait.Mean())
-		tbl.Set("translation (BTLB/walk)", col, b.Translate.Mean())
-		tbl.Set("pLBA queue wait", col, b.DTUWait.Mean())
-		tbl.Set("DMA transfer (medium+PCIe)", col, b.Transfer.Mean())
+		for i, r := range rows {
+			t := stageTotal(c.Metrics, r.stages)
+			var mean float64
+			if n := t.n - before[i].n; n > 0 {
+				mean = (t.ns - before[i].ns) / float64(n) / 1000
+			}
+			tbl.Set(r.label, col, mean)
+		}
 	}
 	tbl.Note("at QD 1 the pipeline is latency-bound (transfer dominates); at QD 16 queueing appears ahead of the saturated medium")
 	return []*stats.Table{tbl}, nil
+}
+
+// stageSum is an observation count and total (ns) over stage histograms.
+type stageSum struct {
+	n  int64
+	ns float64
+}
+
+// stageTotal sums every series of every histogram family of the stages.
+func stageTotal(reg *metrics.Registry, stages []core.Stage) stageSum {
+	var t stageSum
+	for _, st := range stages {
+		for _, fam := range core.Stages[st].Families {
+			n, ns := reg.HistogramTotal(fam.Name)
+			t.n += n
+			t.ns += ns
+		}
+	}
+	return t
 }
 
 // QDepth sweeps request-level parallelism: NeSC's hardware pipeline absorbs

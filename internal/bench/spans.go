@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"nesc/internal/core"
 	"nesc/internal/hypervisor"
 	"nesc/internal/metrics"
 	"nesc/internal/sim"
@@ -19,11 +20,44 @@ import (
 // span machinery exists to expose.
 func Spans(cfg Config) ([]*stats.Table, error) {
 	reg := metrics.New()
-	spans := trace.NewSpanRecorder(4096)
 	c := cfg
 	c.Metrics = reg
-	c.Spans = spans
-	pl := NewPlatform(c)
+	c.Spans = trace.NewSpanRecorder(4096)
+	if _, err := spansWorkload(c); err != nil {
+		return nil, err
+	}
+
+	tbl := stats.NewTable("Span-derived per-stage latency (sparse image, 4KB x QD4, write pass then read pass)",
+		"stage", "us", "write mean", "write p99", "read mean", "read p99")
+	type row struct{ label, family string }
+	var rows []row
+	for _, st := range core.Stages {
+		for _, fam := range st.Families {
+			rows = append(rows, row{fam.Label, fam.Name})
+		}
+	}
+	rows = append(rows, row{"end-to-end request", core.RequestLatencyFamily})
+	// The workload drives VF 1 on queue 0; read the exact series back.
+	for _, r := range rows {
+		for _, op := range []string{"write", "read"} {
+			h := reg.Histogram(r.family, "", metrics.VFQOp(1, 0, op))
+			if h.Count() == 0 {
+				continue // e.g. no misses on the read pass, no CoW or verify at all
+			}
+			tbl.Set(r.label, op+" mean", h.Mean()/1000)
+			tbl.Set(r.label, op+" p99", h.Quantile(0.99)/1000)
+		}
+	}
+	tbl.Note("the write pass faults every block in through the hypervisor (lazy allocation); the read pass rides the warmed BTLB")
+	tbl.Note("p99 cells are log2-histogram estimates (geometric bucket midpoint)")
+	return []*stats.Table{tbl}, nil
+}
+
+// spansWorkload writes a 4 MB sparse image on a directly assigned VF with
+// 4 KB requests at QD 4, then reads it back, on a fresh platform built from
+// cfg, and returns the platform after the run.
+func spansWorkload(cfg Config) (*Platform, error) {
+	pl := NewPlatform(cfg)
 	const fileBlocks = 4096 // 4 MB sparse image
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
@@ -46,36 +80,5 @@ func Spans(cfg Config) ([]*stats.Table, error) {
 		_, err = (workload.ParallelDD{BlockBytes: 4096, TotalBytes: total, QD: 4}).Run(p, tgt)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	tbl := stats.NewTable("Span-derived per-stage latency (sparse image, 4KB x QD4, write pass then read pass)",
-		"stage", "us", "write mean", "write p99", "read mean", "read p99")
-	stages := []struct {
-		row, family string
-	}{
-		{"descriptor fetch", "nesc_pipeline_fetch_ns"},
-		{"vLBA queue wait", "nesc_pipeline_queue_wait_ns"},
-		{"translate (BTLB hit)", "nesc_pipeline_translate_hit_ns"},
-		{"translate (tree walk)", "nesc_pipeline_translate_walk_ns"},
-		{"translate (hyp. miss)", "nesc_pipeline_translate_miss_ns"},
-		{"pLBA queue wait", "nesc_pipeline_dtu_wait_ns"},
-		{"DMA transfer", "nesc_pipeline_transfer_ns"},
-		{"end-to-end request", "nesc_request_ns"},
-	}
-	// The workload drives VF 1 on queue 0; read the exact series back.
-	for _, st := range stages {
-		for _, op := range []string{"write", "read"} {
-			h := reg.Histogram(st.family, "", metrics.VFQOp(1, 0, op))
-			if h.Count() == 0 {
-				continue // e.g. no misses on the read pass
-			}
-			tbl.Set(st.row, op+" mean", h.Mean()/1000)
-			tbl.Set(st.row, op+" p99", h.Quantile(0.99)/1000)
-		}
-	}
-	tbl.Note("the write pass faults every block in through the hypervisor (lazy allocation); the read pass rides the warmed BTLB")
-	tbl.Note("p99 cells are log2-histogram estimates (geometric bucket midpoint)")
-	return []*stats.Table{tbl}, nil
+	return pl, err
 }

@@ -87,10 +87,6 @@ type Params struct {
 	WalkParseTime       sim.Time // node decode after its DMA arrives
 	DTUChunkOverhead    sim.Time // per-chunk scatter/gather handling
 
-	// CollectBreakdown enables per-chunk stage timing (the latency
-	// breakdown experiment); off by default to keep hot paths lean.
-	CollectBreakdown bool
-
 	// Error recovery.
 	//
 	// MediumRetryMax is how many times the DTU retries a transient medium
@@ -224,8 +220,7 @@ type Request struct {
 
 	// Telemetry. t0 is the virtual time the descriptor fetch began; span is
 	// the request's lifecycle record (nil when span recording is off); obs
-	// gates chunk stage-timestamping (breakdown collection or any telemetry
-	// sink attached).
+	// gates stage timestamping and recording (any per-stage sink attached).
 	t0   sim.Time
 	span *trace.Span
 	obs  bool
@@ -248,8 +243,8 @@ type chunk struct {
 	buf  int64
 	zero bool // hole read: DMA zeros, skip the medium
 
-	// tag records the translation outcome (trace.TagHit/TagWalk/TagMiss).
-	tag string
+	// tag records the translation outcome (tagHit/tagWalk/tagMiss/tagCow).
+	tag uint8
 
 	// Stage timestamps (only stamped when req.obs).
 	tQueued   sim.Time // entered the vLBA queue
@@ -403,15 +398,6 @@ type Controller struct {
 	// fnGaugeReg, when telemetry is attached, receives per-function gauges
 	// for VFs materialized after AttachTelemetry.
 	fnGaugeReg *metrics.Registry
-
-	// Breakdown holds per-stage chunk latencies in microseconds (populated
-	// only when Params.CollectBreakdown is set).
-	Breakdown struct {
-		QueueWait stats.Sampler // vLBA queue residence
-		Translate stats.Sampler // BTLB lookup / tree walk
-		DTUWait   stats.Sampler // pLBA queue residence
-		Transfer  stats.Sampler // DMA channel service (medium + PCIe)
-	}
 }
 
 // New builds a controller on the fabric, registers its functions, and starts

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/trace"
 )
@@ -164,7 +165,7 @@ func (c *Controller) captureFlight(at sim.Time, fn int, r *Request, reason strin
 		if r.q != nil {
 			rec.Q = r.q.idx
 		}
-		rec.Op = opName(r.Op)
+		rec.Op = ring.OpName(r.Op)
 		rec.ID = r.ID
 		rec.ReqID = r.ReqID
 		rec.LBA = r.LBA

@@ -88,15 +88,14 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 		if q.deadline > 0 {
 			req.deadline = tFetch + q.deadline
 		}
-		req.obs = c.P.CollectBreakdown || c.instrumented()
+		// Any per-stage sink arms stage timestamping for this request.
+		req.obs = c.Metrics != nil || c.Spans != nil || c.Attrib != nil
 		if req.obs {
-			req.span = c.Spans.Start(f.idx, q.idx, opName(op), id, lba, count, tFetch)
+			req.span = c.Spans.Start(f.idx, q.idx, ring.OpName(op), id, lba, count, tFetch)
 			if req.span != nil {
 				req.span.ReqID = req.ReqID
 			}
-			req.span.Phase(trace.PhaseFetch, -1, tFetch, p.Now(), "")
-			c.observe(mFetchNs, req, p.Now()-tFetch)
-			c.seg(req, slo.SegFetch, p.Now()-tFetch)
+			c.stage(req, nil, StageFetch, tFetch, p.Now())
 		}
 		c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindFetch, Fn: f.idx, LBA: lba, Arg: uint64(id)})
 		f.Reqs++
@@ -319,17 +318,12 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 		}
 		if ch.req.obs {
 			ch.tTransIn = p.Now()
-			if c.P.CollectBreakdown {
-				c.Breakdown.QueueWait.Add((ch.tTransIn - ch.tQueued).Micros())
-			}
-			c.observe(mQueueWaitNs, ch.req, ch.tTransIn-ch.tQueued)
-			c.seg(ch.req, slo.SegQueue, ch.tTransIn-ch.tQueued)
-			ch.req.span.Phase(trace.PhaseQueue, ch.idx, ch.tQueued, ch.tTransIn, "")
+			c.stage(ch.req, ch, StageQueue, ch.tQueued, ch.tTransIn)
 		}
 		p.Sleep(c.P.BTLBHitTime)
 		if plba, prot, ok := c.btlb.lookup(f.idx, ch.lba); ok && !(prot && ch.req.Op == OpWrite) {
 			c.BTLBStats.Hit()
-			ch.tag = trace.TagHit
+			ch.tag = tagHit
 			ch.lba = plba
 			c.pushPLBA(p, f, ch)
 			continue
@@ -338,7 +332,7 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 		// translation: it falls through to the walk, which re-finds the
 		// protected mapping and raises the CoW fault.
 		c.BTLBStats.Miss()
-		ch.tag = trace.TagWalk
+		ch.tag = tagWalk
 
 	walk:
 		for {
@@ -368,10 +362,10 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				// on a fetch-backed VF: the hypervisor must
 				// allocate/regenerate/unshare/materialize mappings.
 				c.Misses++
-				ch.tag = trace.TagMiss
+				ch.tag = tagMiss
 				if cowFault {
 					c.CowFaults++
-					ch.tag = trace.TagCow
+					ch.tag = tagCow
 				}
 				if !f.missPending {
 					f.missPending = true
@@ -451,12 +445,7 @@ func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []b
 func (c *Controller) pushPLBA(p *sim.Proc, f *Function, ch *chunk) {
 	if ch.req.obs {
 		ch.tTransOut = p.Now()
-		if c.P.CollectBreakdown {
-			c.Breakdown.Translate.Add((ch.tTransOut - ch.tTransIn).Micros())
-		}
-		c.observe(translateFamily(ch.tag), ch.req, ch.tTransOut-ch.tTransIn)
-		c.seg(ch.req, slo.SegTranslate, ch.tTransOut-ch.tTransIn)
-		ch.req.span.Phase(trace.PhaseTransIn, ch.idx, ch.tTransIn, ch.tTransOut, ch.tag)
+		c.stage(ch.req, ch, StageTranslate, ch.tTransIn, ch.tTransOut)
 	}
 	c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindTranslate, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.req.ID)})
 	if ch.req.Op == OpVerify {
@@ -528,12 +517,7 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 		if ch.req.obs {
 			ch.tDTUIn = p.Now()
 			if ch.tTransOut != 0 { // OOB chunks skip translation
-				if c.P.CollectBreakdown {
-					c.Breakdown.DTUWait.Add((ch.tDTUIn - ch.tTransOut).Micros())
-				}
-				c.observe(mDTUWaitNs, ch.req, ch.tDTUIn-ch.tTransOut)
-				c.seg(ch.req, slo.SegDTUWait, ch.tDTUIn-ch.tTransOut)
-				ch.req.span.Phase(trace.PhaseDTUWait, ch.idx, ch.tTransOut, ch.tDTUIn, "")
+				c.stage(ch.req, ch, StageDTUWait, ch.tTransOut, ch.tDTUIn)
 			}
 		}
 		p.Sleep(c.P.DTUChunkOverhead)
@@ -590,22 +574,12 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 			c.chunkEWMA += (svc - c.chunkEWMA) / 8
 		}
 		c.ChunksDone++
-		kind := trace.KindTransfer
+		kind, st := trace.KindTransfer, StageTransfer
 		if ch.req.Op == OpVerify {
-			kind = trace.KindVerify
+			kind, st = trace.KindVerify, StageVerify
 		}
 		if ch.req.obs {
-			now := p.Now()
-			if c.P.CollectBreakdown {
-				c.Breakdown.Transfer.Add((now - ch.tDTUIn).Micros())
-			}
-			phase, fam := trace.PhaseTransfer, mTransferNs
-			if ch.req.Op == OpVerify {
-				phase, fam = trace.PhaseVerify, mVerifyNs
-			}
-			c.observe(fam, ch.req, now-ch.tDTUIn)
-			c.seg(ch.req, slo.SegMedium, now-ch.tDTUIn)
-			ch.req.span.Phase(phase, ch.idx, ch.tDTUIn, now, "")
+			c.stage(ch.req, ch, st, ch.tDTUIn, p.Now())
 		}
 		c.Tracer.Emit(trace.Event{At: p.Now(), Kind: kind, Fn: ch.req.fn.idx, LBA: ch.lba, Arg: uint64(status)})
 		c.completeChunk(p, ch, status)
@@ -666,7 +640,7 @@ func (c *Controller) noteRetry(r *Request) {
 		r.span.Retries++
 	}
 	if c.Metrics != nil {
-		c.Metrics.Counter(mMediumRetryTot, familyHelp[mMediumRetryTot], reqLabels(r)).Inc()
+		c.Metrics.Counter("nesc_medium_retries_total", "medium/integrity retry rounds", reqLabels(r)).Inc()
 	}
 }
 
@@ -780,11 +754,11 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 	}
 	if c.Metrics != nil {
 		l := reqLabels(r)
-		c.Metrics.Counter(mRequestsTotal, familyHelp[mRequestsTotal], l).Inc()
+		c.Metrics.Counter("nesc_requests_total", "requests completed (any status)", l).Inc()
 		if r.status != StatusOK {
-			c.Metrics.Counter(mRequestErrors, familyHelp[mRequestErrors], l).Inc()
+			c.Metrics.Counter("nesc_request_errors_total", "requests completed with a non-OK status", l).Inc()
 		}
-		c.Metrics.Histogram(mRequestNs, familyHelp[mRequestNs], l).Observe(int64(p.Now() - r.t0))
+		c.Metrics.Histogram(RequestLatencyFamily, "end-to-end request latency (fetch to completion)", l).Observe(int64(p.Now() - r.t0))
 	}
 	c.Spans.Finish(r.span, p.Now(), r.status)
 	if c.SLO != nil {

@@ -116,50 +116,6 @@ func TestDTUPickOOBPriority(t *testing.T) {
 	}
 }
 
-func TestBreakdownCollection(t *testing.T) {
-	p := smallParams()
-	p.CollectBreakdown = true
-	r := newRig(t, p)
-	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 256}})
-	buf := r.mem.MustAlloc(4096, 64)
-	done := false
-	r.eng.Go("guest", func(pr *sim.Proc) {
-		r.setVF(pr, 0, tr.Root(), 256)
-		d := r.openFunction(pr, 1)
-		for i := 0; i < 8; i++ {
-			if st := d.io(pr, OpWrite, uint64(i*4), 4, buf); st != StatusOK {
-				t.Errorf("status %d", st)
-			}
-		}
-		done = true
-	})
-	r.run()
-	if !done {
-		t.Fatal("deadlock")
-	}
-	b := &r.ctl.Breakdown
-	if b.QueueWait.N() == 0 || b.Translate.N() == 0 || b.Transfer.N() == 0 {
-		t.Fatalf("breakdown samplers empty: %d/%d/%d", b.QueueWait.N(), b.Translate.N(), b.Transfer.N())
-	}
-	if b.Transfer.Mean() <= 0 {
-		t.Fatal("transfer stage recorded no time")
-	}
-	// Disabled by default: no samples collected.
-	r2 := newRig(t, smallParams())
-	tr2 := r2.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 16}})
-	r2.eng.Go("guest", func(pr *sim.Proc) {
-		r2.setVF(pr, 0, tr2.Root(), 16)
-		d := r2.openFunction(pr, 1)
-		d.io(pr, OpWrite, 0, 4, buf2addr(r2))
-	})
-	r2.run()
-	if r2.ctl.Breakdown.Transfer.N() != 0 {
-		t.Fatal("breakdown collected while disabled")
-	}
-}
-
-func buf2addr(r *rig) int64 { return r.mem.MustAlloc(4096, 64) }
-
 func TestTracerRecordsRequestLifecycle(t *testing.T) {
 	r := newRig(t, smallParams())
 	r.ctl.Tracer = trace.NewRing(64)

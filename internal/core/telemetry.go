@@ -2,6 +2,7 @@ package core
 
 import (
 	"nesc/internal/metrics"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
 	"nesc/internal/trace"
@@ -22,72 +23,93 @@ import (
 //     pipeline as requests flow, keyed {vf, q, op}. Each observation is one
 //     mutex-guarded map lookup with a comparable struct key — no allocation.
 
-// Histogram/counter family names. The naming scheme is
+// RequestLatencyFamily is the end-to-end request latency histogram (fetch
+// to completion), keyed {vf, q, op}. Metric families follow
 // nesc_<subsystem>_<name> with unit suffixes (_ns, _total); DESIGN.md §10
 // documents the full catalogue.
+const RequestLatencyFamily = "nesc_request_ns"
+
+// Stage is one timed controller pipeline stage (paper Fig. 7).
+type Stage uint8
+
 const (
-	mFetchNs        = "nesc_pipeline_fetch_ns"
-	mQueueWaitNs    = "nesc_pipeline_queue_wait_ns"
-	mTransHitNs     = "nesc_pipeline_translate_hit_ns"
-	mTransWalkNs    = "nesc_pipeline_translate_walk_ns"
-	mTransMissNs    = "nesc_pipeline_translate_miss_ns"
-	mTransCowNs     = "nesc_pipeline_translate_cow_ns"
-	mDTUWaitNs      = "nesc_pipeline_dtu_wait_ns"
-	mTransferNs     = "nesc_pipeline_transfer_ns"
-	mVerifyNs       = "nesc_pipeline_verify_ns"
-	mRequestNs      = "nesc_request_ns"
-	mRequestsTotal  = "nesc_requests_total"
-	mRequestErrors  = "nesc_request_errors_total"
-	mMediumRetryTot = "nesc_medium_retries_total"
+	StageFetch     Stage = iota // descriptor DMA + decode
+	StageQueue                  // vLBA queue residence
+	StageTranslate              // BTLB lookup / tree walk / miss service
+	StageDTUWait                // pLBA queue residence
+	StageTransfer               // DMA channel service (medium + PCIe)
+	StageVerify                 // scrub verify service
+	NumStages
 )
 
-var familyHelp = map[string]string{
-	mFetchNs:        "descriptor fetch + decode latency",
-	mQueueWaitNs:    "vLBA queue residence per chunk",
-	mTransHitNs:     "translation latency, BTLB hit",
-	mTransWalkNs:    "translation latency, extent-tree walk",
-	mTransMissNs:    "translation latency, hypervisor-serviced miss",
-	mTransCowNs:     "translation latency, hypervisor-serviced CoW break",
-	mDTUWaitNs:      "pLBA queue residence per chunk",
-	mTransferNs:     "DMA channel service per chunk (medium + PCIe)",
-	mVerifyNs:       "scrub verify service per chunk",
-	mRequestNs:      "end-to-end request latency (fetch to completion)",
-	mRequestsTotal:  "requests completed (any status)",
-	mRequestErrors:  "requests completed with a non-OK status",
-	mMediumRetryTot: "medium/integrity retry rounds",
+// Translation outcomes: the tag of a StageTranslate interval, indexing that
+// stage's histogram families.
+const (
+	tagHit  uint8 = iota // BTLB hit
+	tagWalk              // extent-tree walk satisfied in hardware
+	tagMiss              // walk parked; hypervisor serviced a miss
+	tagCow               // write trapped on a protected extent; hypervisor broke sharing
+)
+
+// StageFamily is one histogram family of a stage: StageTranslate has one per
+// translation outcome (in tag order), every other stage exactly one.
+type StageFamily struct {
+	Tag   string // span phase tag ("" when the stage is untagged)
+	Name  string // histogram family, keyed {vf, q, op}
+	Help  string
+	Label string // row label in experiment tables
 }
 
-// opName renders an opcode as a metric label value.
-func opName(op uint32) string {
-	switch op {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpVerify:
-		return "verify"
+// StageInfo is one row of the stage table.
+type StageInfo struct {
+	Phase    string // span phase name
+	Seg      int    // slo attribution segment
+	Families []StageFamily
+}
+
+// Stages is the stage table, indexed by Stage: the single source of every
+// per-stage name the sinks export. Span phases, metric families and
+// attribution segments are on-disk and dashboard formats — never rename.
+var Stages = [NumStages]StageInfo{
+	StageFetch: {"fetch", slo.SegFetch, []StageFamily{
+		{"", "nesc_pipeline_fetch_ns", "descriptor fetch + decode latency", "descriptor fetch"}}},
+	StageQueue: {"queue", slo.SegQueue, []StageFamily{
+		{"", "nesc_pipeline_queue_wait_ns", "vLBA queue residence per chunk", "vLBA queue wait"}}},
+	StageTranslate: {"translate", slo.SegTranslate, []StageFamily{
+		tagHit:  {"hit", "nesc_pipeline_translate_hit_ns", "translation latency, BTLB hit", "translate (BTLB hit)"},
+		tagWalk: {"walk", "nesc_pipeline_translate_walk_ns", "translation latency, extent-tree walk", "translate (tree walk)"},
+		tagMiss: {"miss", "nesc_pipeline_translate_miss_ns", "translation latency, hypervisor-serviced miss", "translate (hyp. miss)"},
+		tagCow:  {"cow", "nesc_pipeline_translate_cow_ns", "translation latency, hypervisor-serviced CoW break", "translate (CoW break)"}}},
+	StageDTUWait: {"dtu_wait", slo.SegDTUWait, []StageFamily{
+		{"", "nesc_pipeline_dtu_wait_ns", "pLBA queue residence per chunk", "pLBA queue wait"}}},
+	StageTransfer: {"transfer", slo.SegMedium, []StageFamily{
+		{"", "nesc_pipeline_transfer_ns", "DMA channel service per chunk (medium + PCIe)", "DMA transfer"}}},
+	StageVerify: {"verify", slo.SegMedium, []StageFamily{
+		{"", "nesc_pipeline_verify_ns", "scrub verify service per chunk", "scrub verify"}}},
+}
+
+// stage records one interval of r — of chunk ch, or request-level when ch is
+// nil — into every attached per-stage sink: the stage's histogram family,
+// the request's span, and its attribution segment. Callers hold the req.obs
+// gate.
+func (c *Controller) stage(r *Request, ch *chunk, st Stage, start, end sim.Time) {
+	row := &Stages[st]
+	fam := &row.Families[0]
+	idx := -1
+	if ch != nil {
+		idx = ch.idx
+		if st == StageTranslate {
+			fam = &row.Families[ch.tag]
+		}
 	}
-	return "other"
-}
-
-// translateFamily maps a translation outcome tag to its histogram family.
-func translateFamily(tag string) string {
-	switch tag {
-	case trace.TagWalk:
-		return mTransWalkNs
-	case trace.TagMiss:
-		return mTransMissNs
-	case trace.TagCow:
-		return mTransCowNs
+	d := end - start
+	if c.Metrics != nil {
+		c.Metrics.Histogram(fam.Name, fam.Help, reqLabels(r)).Observe(int64(d))
 	}
-	return mTransHitNs
-}
-
-// instrumented reports whether any per-request telemetry sink is attached —
-// the gate for chunk stage-timestamping. The attributor counts: it consumes
-// the same stage timestamps the metrics histograms do.
-func (c *Controller) instrumented() bool {
-	return c.Metrics != nil || c.Spans != nil || c.Attrib != nil
+	r.span.Phase(row.Phase, idx, start, end, fam.Tag)
+	if c.Attrib != nil && d > 0 {
+		r.segs[row.Seg] += d
+	}
 }
 
 // reqLabels builds the {vf, q, op} label set for a request.
@@ -96,23 +118,7 @@ func reqLabels(r *Request) metrics.Labels {
 	if r.q != nil {
 		q = r.q.idx
 	}
-	return metrics.VFQOp(r.fn.idx, q, opName(r.Op))
-}
-
-// observe feeds one stage duration into the named histogram family.
-func (c *Controller) observe(name string, r *Request, d sim.Time) {
-	if c.Metrics == nil {
-		return
-	}
-	c.Metrics.Histogram(name, familyHelp[name], reqLabels(r)).Observe(int64(d))
-}
-
-// seg accumulates one stage duration into a request's attribution vector.
-// Free (one branch) when no attributor is attached.
-func (c *Controller) seg(r *Request, i int, d sim.Time) {
-	if c.Attrib != nil && d > 0 {
-		r.segs[i] += d
-	}
+	return metrics.VFQOp(r.fn.idx, q, ring.OpName(r.Op))
 }
 
 // noteDeadline posts a deadline-expiration event naming the pipeline stage
@@ -150,7 +156,7 @@ func (c *Controller) finishAttribution(r *Request, now sim.Time) {
 	if total > sum {
 		r.segs[slo.SegOther] = total - sum
 	}
-	c.Attrib.Record(r.fn.idx, opName(r.Op), r.ReqID, total, r.status == StatusOK, r.segs)
+	c.Attrib.Record(r.fn.idx, ring.OpName(r.Op), r.ReqID, total, r.status == StatusOK, r.segs)
 }
 
 // AttachSLO hands the controller the observability layer's sinks: the

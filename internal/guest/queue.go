@@ -123,20 +123,6 @@ func (qp *QueuePair) AttachAttribution(a *slo.Attributor, vf int) {
 	qp.AttribVF = vf
 }
 
-// attribOpName mirrors the device's metric op labels so driver-side credits
-// land in the same budget-table rows.
-func attribOpName(op uint32) string {
-	switch ring.OpCode(op) {
-	case ring.OpRead:
-		return "read"
-	case ring.OpWrite:
-		return "write"
-	case ring.OpVerify:
-		return "verify"
-	}
-	return "other"
-}
-
 type qpWaiter struct {
 	sig     *sim.Signal
 	status  uint32
@@ -321,7 +307,7 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 	var backoff sim.Time
 	if qp.Attrib != nil {
 		defer func() {
-			qp.Attrib.AddSegment(qp.AttribVF, attribOpName(op), slo.SegAdmission, backoff)
+			qp.Attrib.AddSegment(qp.AttribVF, ring.OpName(op), slo.SegAdmission, backoff)
 		}()
 	}
 	for attempt := 0; ; attempt++ {

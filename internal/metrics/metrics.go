@@ -219,6 +219,23 @@ func (r *Registry) Histogram(name, help string, l Labels) *Histogram {
 	return &s.h
 }
 
+// HistogramTotal sums the observation count and total over every series of
+// the named histogram family (zeros when it is absent or not a histogram).
+func (r *Registry) HistogramTotal(name string) (count int64, sum float64) {
+	if r == nil {
+		return 0, 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.families[name]; ok && f.kind == kindHistogram {
+		for _, s := range f.order {
+			count += s.h.count
+			sum += s.h.sum
+		}
+	}
+	return count, sum
+}
+
 // Dropped reports how many label sets the named family refused under the
 // cardinality cap.
 func (r *Registry) Dropped(name string) int64 {

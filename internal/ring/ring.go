@@ -89,6 +89,20 @@ const (
 // OpCode strips the flag bits from an op field.
 func OpCode(op uint32) uint32 { return op & OpCodeMask }
 
+// OpName renders an op field's opcode as the label every telemetry sink
+// keys on (metric op label, span op, attribution row).
+func OpName(op uint32) string {
+	switch OpCode(op) {
+	case OpRead:
+		return "read"
+	case OpWrite:
+		return "write"
+	case OpVerify:
+		return "verify"
+	}
+	return "other"
+}
+
 // Completion status codes.
 const (
 	StatusOK             = 0

@@ -8,27 +8,10 @@ import (
 // order", a Span answers "where did THIS request's time go": it carries one
 // timestamped phase per pipeline stage each of its chunks passed through —
 // fetch, translate (tagged BTLB hit / tree walk / hypervisor miss), transfer,
-// verify — plus the request's own start/end and final status. Spans are pure
-// bookkeeping: recording a phase reads the simulated clock but never advances
-// it, so span collection is virtual-time-neutral by construction.
-
-// Phase names, used both in spans and as metric name fragments.
-const (
-	PhaseFetch    = "fetch"     // descriptor DMA + decode
-	PhaseQueue    = "queue"     // vLBA queue residence
-	PhaseTransIn  = "translate" // BTLB lookup / tree walk / miss service
-	PhaseDTUWait  = "dtu_wait"  // pLBA queue residence
-	PhaseTransfer = "transfer"  // DMA channel service (medium + PCIe)
-	PhaseVerify   = "verify"    // scrub verify service
-)
-
-// Translation outcome tags on PhaseTransIn phases.
-const (
-	TagHit  = "hit"  // BTLB hit
-	TagWalk = "walk" // extent-tree walk satisfied in hardware
-	TagMiss = "miss" // walk parked; hypervisor serviced a miss
-	TagCow  = "cow"  // write trapped on a protected extent; hypervisor broke sharing
-)
+// verify — plus the request's own start/end and final status. The phase and
+// tag names come from the controller's stage table (core.Stages). Spans are
+// pure bookkeeping: recording a phase reads the simulated clock but never
+// advances it, so span collection is virtual-time-neutral by construction.
 
 // Phase is one timestamped stage interval within a span. Chunk is the
 // 0-based chunk index the phase belongs to, or -1 for request-level phases

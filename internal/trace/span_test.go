@@ -15,7 +15,7 @@ func TestNilSpanRecorderNoOps(t *testing.T) {
 	if s != nil {
 		t.Fatal("nil recorder returned a live span")
 	}
-	s.Phase(PhaseFetch, -1, 0, 10, "") // nil span: must not panic
+	s.Phase("fetch", -1, 0, 10, "") // nil span: must not panic
 	r.Finish(s, 20, 0)
 	if r.Len() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder retained something")
@@ -48,10 +48,10 @@ func TestSpanRecorderRing(t *testing.T) {
 func TestChromeTraceShape(t *testing.T) {
 	r := NewSpanRecorder(8)
 	s := r.Start(2, 1, "read", 42, 1000, 2, 100)
-	s.Phase(PhaseFetch, -1, 100, 200, "")
-	s.Phase(PhaseTransIn, 0, 250, 400, TagHit)
-	s.Phase(PhaseTransIn, 1, 260, 900, TagMiss)
-	s.Phase(PhaseTransfer, 0, 450, 700, "")
+	s.Phase("fetch", -1, 100, 200, "")
+	s.Phase("translate", 0, 250, 400, "hit")
+	s.Phase("translate", 1, 260, 900, "miss")
+	s.Phase("transfer", 0, 450, 700, "")
 	s.Retries = 1
 	r.Finish(s, 1000, 0)
 

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nesc/internal/bench"
 )
@@ -226,18 +227,33 @@ func TestTelemetryExports(t *testing.T) {
 	}
 }
 
-// TestInstrumentationNeutrality runs the same workload bare and fully
-// instrumented; every counter — above all the virtual clock — must match.
+// TestInstrumentationNeutrality runs the same workload bare and with every
+// sink armed; every counter — above all the virtual clock — must match. Only
+// SLOAlerts and AnomalyEvents may differ: they count the observability
+// layer's own output.
 func TestInstrumentationNeutrality(t *testing.T) {
 	bare := New(Config{MediumMB: 32})
 	if err := telemetryWorkload(bare); err != nil {
 		t.Fatal(err)
 	}
-	instr := New(Config{MediumMB: 32, Metrics: true, TraceSpans: 4096, TraceEvents: 128})
+	instr := New(Config{
+		MediumMB: 32, Metrics: true, TraceSpans: 4096, TraceEvents: 128,
+		Attribution: true, ScoreboardEvents: 256,
+		SLO: &SLOObjective{
+			Latency:       50 * time.Microsecond,
+			Goal:          0.99,
+			ShortWindow:   time.Millisecond,
+			LongWindow:    4 * time.Millisecond,
+			BurnThreshold: 2,
+			MinSamples:    4,
+		},
+	})
 	if err := telemetryWorkload(instr); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := bare.Stats(), instr.Stats(); a != b {
+	a, b := bare.Stats(), instr.Stats()
+	b.SLOAlerts, b.AnomalyEvents = a.SLOAlerts, a.AnomalyEvents
+	if a != b {
 		t.Fatalf("instrumentation perturbed the simulation:\nbare:  %+v\ninstr: %+v", a, b)
 	}
 }
