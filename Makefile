@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench profile
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench perf-smoke profile
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -16,7 +16,7 @@ tier1: build test
 # the full 64-point crash-recovery harness plus the exhaustive journal
 # crash-point sweep; test runs the whole suite without the race detector
 # (including the long tests -short skips, e.g. the golden experiment run).
-ci: vet fmt-check build test race crash $(DET_TARGETS)
+ci: vet fmt-check build test race crash $(DET_TARGETS) perf-smoke
 
 vet:
 	$(GO) vet ./...
@@ -53,6 +53,16 @@ crash:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# perf-smoke runs every BENCHMARK.json workload for one host second. The
+# benchmark exits non-zero on any oracle, filesystem or guard-tag failure,
+# and so does this target.
+PERF_WORKLOADS := tenant-mix-4k thin-fill-4k backends-qd1
+perf-smoke:
+	@set -e; for w in $(PERF_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 > /dev/null; \
+	done
+	@echo "perf-smoke: every workload ran clean"
 
 # <exp>-det regenerates one experiment twice in separate processes and fails
 # unless both runs and the checked-in results/<exp>.json are byte-identical

@@ -6,23 +6,25 @@
 //   - Event callbacks: components schedule closures on the Engine at future
 //     virtual times (Engine.After / Engine.At). This is the natural style for
 //     small hardware state machines.
-//   - Processes: sequential goroutines coupled to the engine with a strict
-//     hand-off protocol (Engine.Go). At any instant either the engine or
-//     exactly one process runs, so process code may touch shared simulation
-//     state without locks and the simulation stays fully deterministic.
-//     Processes model software (guest kernels, hypervisor handlers,
-//     workloads) and pipelined hardware units that are awkward as explicit
-//     state machines.
+//   - Processes: coroutines driven by the engine (Engine.Go). Each process is
+//     one iter.Pull coroutine: the engine resumes it with next, the process
+//     parks with yield, and Shutdown kills it with stop. At any instant either
+//     the engine or exactly one process runs, so process code may touch
+//     shared simulation state without locks and the simulation stays fully
+//     deterministic. Processes model software (guest kernels, hypervisor
+//     handlers, workloads) and pipelined hardware units that are awkward as
+//     explicit state machines.
+//
+// Pending events live in a value-typed binary heap ordered by (time,
+// sequence number), so scheduling an event allocates nothing and
+// simultaneous events run in the order they were scheduled.
 //
 // Virtual time is an int64 nanosecond count. The kernel never consults the
 // wall clock; given the same inputs a simulation always produces the same
 // event order and the same measurements.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in (or a span of) virtual time, in nanoseconds.
 type Time int64
@@ -70,24 +72,9 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+// before is the dispatch order: earlier time first, then earlier scheduling.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is the discrete-event simulation executive: a virtual clock plus a
@@ -96,7 +83,7 @@ func (h *eventHeap) Pop() (popped any) {
 type Engine struct {
 	now    Time
 	seq    int64
-	events eventHeap
+	events []event // binary min-heap under event.before
 	procs  map[*Proc]struct{}
 
 	// Stepped counts dispatched events; useful as a progress/cost metric.
@@ -118,7 +105,19 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	e.events = append(e.events, ev)
+	h := e.events
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(&h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = ev
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
@@ -136,11 +135,42 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.now = ev.at
 	e.Stepped++
 	ev.fn()
 	return true
+}
+
+// pop removes and returns the earliest event, sifting the last one down
+// from the root.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the closure reference
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.events = h
+	return top
 }
 
 // Run dispatches events until none remain. Processes blocked on queues or
@@ -169,14 +199,13 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Parked processes may still exist (e.g. device pipelines waiting for work).
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
-// Shutdown terminates every parked process so its goroutine exits. It must
-// only be called when the engine is idle (outside Run). After Shutdown the
-// engine must not be used again.
+// Shutdown terminates every live process: each parked process unwinds its
+// deferred cleanups before the next one is killed, and a process that never
+// started exits without running. It must only be called when the engine is
+// idle (outside Run). After Shutdown the engine must not be used again.
 func (e *Engine) Shutdown() {
 	for p := range e.procs {
-		if p.parked {
-			p.kill()
-		}
+		p.stop() // returns once p has unwound
 	}
 	e.procs = make(map[*Proc]struct{})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -387,14 +388,140 @@ func TestServerConservationProperty(t *testing.T) {
 func TestShutdownKillsParkedProcs(t *testing.T) {
 	e := NewEngine()
 	q := NewFIFO[int](e, 0)
-	e.Go("blocked", func(p *Proc) {
-		q.Pop(p) // parks forever
-		t.Error("blocked process resumed unexpectedly")
+	const parked = 4
+	cleaned, inside, maxInside := 0, 0, 0
+	for i := 0; i < parked; i++ {
+		e.Go("blocked", func(p *Proc) {
+			defer func() {
+				inside++
+				maxInside = max(maxInside, inside)
+				runtime.Gosched() // give a concurrent unwind the chance to overlap
+				cleaned++
+				inside--
+			}()
+			q.Pop(p) // parks forever
+			t.Error("blocked process resumed unexpectedly")
+		})
+	}
+	finished := 0
+	e.Go("finisher", func(p *Proc) {
+		defer func() { finished++ }()
+		p.Sleep(Microsecond)
+	})
+	e.Run()
+	if finished != 1 {
+		t.Fatalf("finished proc cleanups before Shutdown = %d, want 1", finished)
+	}
+	e.Shutdown()
+	if cleaned != parked {
+		t.Fatalf("cleanups run by Shutdown = %d, want %d", cleaned, parked)
+	}
+	if maxInside != 1 {
+		t.Fatalf("%d cleanups ran at once, want one at a time", maxInside)
+	}
+	if finished != 1 {
+		t.Fatalf("finished proc cleaned up %d times, want 1 (killed after finishing)", finished)
+	}
+}
+
+// runPanic runs e and returns the value a proc panicked with, or nil.
+func runPanic(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	e.Go("boom", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("boom")
+	})
+	if got := runPanic(e); got != "boom" {
+		t.Fatalf("recovered %v around Run, want the proc's panic value", got)
+	}
+	if e.Now() != Microsecond {
+		t.Fatalf("panic surfaced at %v, want 1us", e.Now())
+	}
+}
+
+func TestWaitCompletionGuard(t *testing.T) {
+	// A second inline completion is caught.
+	e := NewEngine()
+	e.Go("twice", func(p *Proc) {
+		p.Wait(func(done func()) { done(); done() })
+	})
+	if runPanic(e) == nil {
+		t.Fatal("second completion of one Wait did not panic")
+	}
+
+	// A completion arriving after the Wait returned is caught too.
+	e = NewEngine()
+	e.Go("late", func(p *Proc) {
+		var saved func()
+		p.Wait(func(done func()) {
+			saved = done
+			e.After(Microsecond, done)
+		})
+		e.After(Microsecond, saved)
+		p.Sleep(10 * Microsecond)
+	})
+	if runPanic(e) == nil {
+		t.Fatal("late completion of a finished Wait did not panic")
+	}
+}
+
+func TestProcSleepAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	var allocs float64
+	e.Go("sleeper", func(p *Proc) {
+		p.Sleep(1) // grow the event heap once
+		allocs = testing.AllocsPerRun(100, func() { p.Sleep(1) })
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("Proc.Sleep round trip allocates %v times, want 0", allocs)
+	}
+}
+
+func TestEngineEventAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	e.After(0, fn)
+	e.Step()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.After(1, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Engine.After+Step allocates %v times, want 0", allocs)
+	}
+}
+
+func TestFIFOBlockingRoundTripAllocs(t *testing.T) {
+	e := NewEngine()
+	q := NewFIFO[int](e, 1)
+	e.Go("consumer", func(p *Proc) {
+		for {
+			q.Pop(p)
+		}
+	})
+	var allocs float64
+	e.Go("producer", func(p *Proc) {
+		// Each round trip: a push that wakes the parked consumer, a yield
+		// so it pops and parks again.
+		round := func() {
+			q.Push(p, 1)
+			p.Yield()
+		}
+		round()
+		allocs = testing.AllocsPerRun(100, round)
 	})
 	e.Run()
 	e.Shutdown()
-	// Nothing to assert beyond "does not deadlock or panic"; the goroutine
-	// unwinds via the kill path.
+	if allocs != 0 {
+		t.Fatalf("blocking FIFO round trip allocates %v times, want 0", allocs)
+	}
 }
 
 func TestBytesTime(t *testing.T) {
@@ -606,5 +733,31 @@ func TestSignalAwaitTimeout(t *testing.T) {
 	e.Run()
 	if resumes != 1 {
 		t.Fatalf("process resumed %d times, want 1", resumes)
+	}
+}
+
+// BenchmarkProcHandoff times a Proc.Sleep round trip: the engine resumes the
+// proc, which schedules its wake-up and parks again.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkEngineEvent times scheduling and dispatching one event with a
+// prebuilt func.
+func BenchmarkEngineEvent(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.After(1, fn)
+		e.Step()
 	}
 }

@@ -7,9 +7,9 @@ package sim
 type FIFO[T any] struct {
 	eng     *Engine
 	cap     int
-	items   []T
-	getters []func() // parked poppers, FIFO order
-	putters []func() // parked pushers, FIFO order
+	items   queue[T]
+	getters queue[func()] // parked poppers' done funcs
+	putters queue[func()] // parked pushers' done funcs
 }
 
 // NewFIFO returns a queue bound to engine e with the given capacity
@@ -19,10 +19,10 @@ func NewFIFO[T any](e *Engine, capacity int) *FIFO[T] {
 }
 
 // Len reports the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) }
+func (q *FIFO[T]) Len() int { return q.items.len() }
 
 // full reports whether a bounded queue is at capacity.
-func (q *FIFO[T]) full() bool { return q.cap > 0 && len(q.items) >= q.cap }
+func (q *FIFO[T]) full() bool { return q.cap > 0 && q.items.len() >= q.cap }
 
 // TryPush enqueues v if the queue has room, reporting whether it did.
 // Safe from event context.
@@ -30,7 +30,7 @@ func (q *FIFO[T]) TryPush(v T) bool {
 	if q.full() {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeGetter()
 	return true
 }
@@ -38,26 +38,19 @@ func (q *FIFO[T]) TryPush(v T) bool {
 // Push enqueues v, blocking the process while the queue is full.
 func (q *FIFO[T]) Push(p *Proc, v T) {
 	for q.full() {
-		p.Wait(func(done func()) {
-			q.putters = append(q.putters, func() { q.eng.After(0, done) })
-		})
+		p.Wait(func(done func()) { q.putters.push(done) })
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeGetter()
 }
 
 // Pop dequeues the oldest item, blocking the process while the queue is
 // empty.
 func (q *FIFO[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
-		p.Wait(func(done func()) {
-			q.getters = append(q.getters, func() { q.eng.After(0, done) })
-		})
+	for q.items.len() == 0 {
+		p.Wait(func(done func()) { q.getters.push(done) })
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.wakePutter()
 	return v
 }
@@ -65,33 +58,57 @@ func (q *FIFO[T]) Pop(p *Proc) T {
 // TryPop dequeues the oldest item without blocking, reporting whether one
 // was available. Safe from event context.
 func (q *FIFO[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.wakePutter()
 	return v, true
 }
 
 func (q *FIFO[T]) wakeGetter() {
-	if len(q.getters) == 0 {
-		return
+	if q.getters.len() > 0 {
+		q.eng.After(0, q.getters.pop())
 	}
-	g := q.getters[0]
-	q.getters = q.getters[1:]
-	g()
 }
 
 func (q *FIFO[T]) wakePutter() {
-	if len(q.putters) == 0 {
-		return
+	if q.putters.len() > 0 {
+		q.eng.After(0, q.putters.pop())
 	}
-	p := q.putters[0]
-	q.putters = q.putters[1:]
-	p()
+}
+
+// queue is a first-in-first-out slice that reuses its backing array: pop
+// advances a head index, and a push that would grow the array first slides
+// the live items down when at least half of it is popped slots.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+func (q *queue[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *queue[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // drop the reference
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
 }
 
 // Semaphore is a counting semaphore in virtual time, used to model exclusive
@@ -100,7 +117,7 @@ func (q *FIFO[T]) wakePutter() {
 type Semaphore struct {
 	eng     *Engine
 	avail   int
-	waiters []func()
+	waiters queue[func()] // parked acquirers' done funcs
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
@@ -111,9 +128,7 @@ func NewSemaphore(e *Engine, n int) *Semaphore {
 // Acquire takes one permit, blocking the process until one is available.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.avail == 0 {
-		p.Wait(func(done func()) {
-			s.waiters = append(s.waiters, func() { s.eng.After(0, done) })
-		})
+		p.Wait(func(done func()) { s.waiters.push(done) })
 	}
 	s.avail--
 }
@@ -121,10 +136,8 @@ func (s *Semaphore) Acquire(p *Proc) {
 // Release returns one permit and wakes a single waiter, if any.
 func (s *Semaphore) Release() {
 	s.avail++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w()
+	if s.waiters.len() > 0 {
+		s.eng.After(0, s.waiters.pop())
 	}
 }
 

@@ -1,23 +1,47 @@
+// The constraint raises this file's language version to go1.23 for
+// iter.Pull; the module's go directive stays at 1.22 so that modules pinned
+// to 1.22 can still require this one.
+
+//go:build go1.23
+
 package sim
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with the event loop under a strict hand-off protocol. At any moment either
-// the engine or exactly one process runs. A process blocks only through the
-// kernel primitives (Sleep, Wait, FIFO.Pop, Semaphore.Acquire, ...), each of
-// which parks the goroutine and returns control to the engine.
+import "iter"
+
+// Proc is a simulation process: a coroutine whose execution is interleaved
+// with the event loop. At any moment either the engine or exactly one
+// process runs. A process blocks only through the kernel primitives (Sleep,
+// Wait, FIFO.Pop, Semaphore.Acquire, ...), each of which parks the coroutine
+// and returns control to the engine.
 //
 // The hand-off makes process code look like ordinary sequential software:
 // guest kernels, hypervisor interrupt handlers, and device pipeline stages
 // are all written as plain loops over blocking calls.
+//
+// Each process is one iter.Pull coroutine: resume is its next, park is its
+// yield, and Engine.Shutdown kills it with stop. A panic in process code
+// propagates out of the resume, and so out of Engine.Step or Engine.Run, to
+// their caller; the value survives, the stack it was raised on does not.
 type Proc struct {
-	eng    *Engine
-	wake   chan wakeMsg
-	back   chan struct{}
-	parked bool
-	name   string
+	eng   *Engine
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	wake  func() // resume, built once: Sleep, Yield and the start event reuse it
+	done  func() // complete, built once: the completion every Wait hands out
+	wait  waitState
+	name  string
 }
 
-type wakeMsg struct{ kill bool }
+// waitState tracks a Proc.Wait in progress.
+type waitState uint8
+
+const (
+	waitIdle     waitState = iota // no Wait in progress
+	waitStarting                  // start is running; done would complete inline
+	waitInline                    // done ran inside start
+	waitParked                    // parked until done
+)
 
 type procKilled struct{}
 
@@ -34,63 +58,40 @@ func (p *Proc) Name() string { return p.name }
 // virtual time (after already-pending events at this timestamp). When fn
 // returns the process disappears.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		wake: make(chan wakeMsg),
-		back: make(chan struct{}),
-		name: name,
-	}
-	e.procs[p] = struct{}{}
-	go func() {
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
+			// A killed process has finished unwinding (deferred cleanups
+			// included) when stop returns to the killer, so two victims'
+			// cleanups never run concurrently. Any other panic goes on to
+			// the caller of next.
 			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); ok {
-					// Engine shutdown: the goroutine has finished unwinding
-					// (deferred cleanups included); hand control back so the
-					// killer can serialize unwinds — deferred handlers touch
-					// shared simulation state and must never run concurrently.
-					p.back <- struct{}{}
-					return
+				if _, ok := r.(procKilled); !ok {
+					panic(r)
 				}
-				panic(r)
 			}
 		}()
-		if msg := <-p.wake; msg.kill {
-			return
-		}
 		fn(p)
 		delete(e.procs, p)
-		p.back <- struct{}{} // return control to the engine
-	}()
-	e.After(0, func() { p.resume() })
+	})
+	p.wake = p.resume
+	p.done = p.complete
+	e.procs[p] = struct{}{}
+	e.After(0, p.wake)
 	return p
 }
 
-// resume transfers control to the process and blocks until it parks again or
-// terminates. Must be called from engine (event) context.
-func (p *Proc) resume() {
-	p.parked = false
-	p.wake <- wakeMsg{}
-	<-p.back
-}
+// resume transfers control to the process and returns when it parks again
+// or terminates.
+func (p *Proc) resume() { p.next() }
 
-// park returns control to the engine and blocks until resumed.
+// park returns control to the engine and returns when resumed.
 // Must be called from process context.
 func (p *Proc) park() {
-	p.parked = true
-	p.back <- struct{}{}
-	if msg := <-p.wake; msg.kill {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
-	p.parked = false
-}
-
-// kill terminates a parked process and waits for its goroutine to finish
-// unwinding, so two victims' deferred cleanups never run concurrently.
-// Engine context only.
-func (p *Proc) kill() {
-	p.wake <- wakeMsg{kill: true}
-	<-p.back
 }
 
 // Sleep suspends the process for d nanoseconds of virtual time.
@@ -98,14 +99,14 @@ func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.eng.After(d, func() { p.resume() })
+	p.eng.After(d, p.wake)
 	p.park()
 }
 
 // Yield parks the process and reschedules it at the current time, letting
 // other events and processes at this timestamp run first.
 func (p *Proc) Yield() {
-	p.eng.After(0, func() { p.resume() })
+	p.eng.After(0, p.wake)
 	p.park()
 }
 
@@ -113,22 +114,33 @@ func (p *Proc) Yield() {
 // start must initiate the operation and arrange for done to be invoked
 // exactly once from engine context when the operation completes. Wait blocks
 // the process until then. done may also be invoked synchronously from within
-// start.
+// start. done is the process's one completion func, shared by all its Waits;
+// a call when no Wait is pending panics.
 func (p *Proc) Wait(start func(done func())) {
-	completed := false
-	parked := false
-	start(func() {
-		if !parked {
-			completed = true
-			return
-		}
-		p.resume()
-	})
-	if completed {
+	if p.wait != waitIdle {
+		panic("sim: Proc.Wait called inside another Wait's start")
+	}
+	p.wait = waitStarting
+	start(p.done)
+	if p.wait == waitInline {
+		p.wait = waitIdle
 		return
 	}
-	parked = true
+	p.wait = waitParked
 	p.park()
+}
+
+// complete is the done func of every Wait: it finishes the Wait in progress.
+func (p *Proc) complete() {
+	switch p.wait {
+	case waitStarting:
+		p.wait = waitInline
+	case waitParked:
+		p.wait = waitIdle
+		p.resume()
+	default:
+		panic("sim: Wait completion for process " + p.name + " with no Wait pending")
+	}
 }
 
 // Signal is a single-use wakeup another party completes. Zero value is ready
@@ -136,7 +148,15 @@ func (p *Proc) Wait(start func(done func())) {
 type Signal struct {
 	eng   *Engine
 	fired bool
-	wait  []func()
+	wait  []signalWaiter
+}
+
+// signalWaiter is a parked process's done func. An AwaitTimeout waiter also
+// carries the flag its deadline shares, so only the first of fire and
+// deadline wakes it.
+type signalWaiter struct {
+	done  func()
+	woken *bool // nil for Await
 }
 
 // NewSignal returns a signal bound to engine e.
@@ -150,7 +170,13 @@ func (s *Signal) Fire() {
 	}
 	s.fired = true
 	for _, w := range s.wait {
-		w()
+		if w.woken != nil {
+			if *w.woken {
+				continue
+			}
+			*w.woken = true
+		}
+		s.eng.After(0, w.done)
 	}
 	s.wait = nil
 }
@@ -165,7 +191,7 @@ func (s *Signal) Await(p *Proc) {
 		return
 	}
 	p.Wait(func(done func()) {
-		s.wait = append(s.wait, func() { s.eng.After(0, done) })
+		s.wait = append(s.wait, signalWaiter{done: done})
 	})
 }
 
@@ -183,16 +209,14 @@ func (s *Signal) AwaitTimeout(p *Proc, d Time) bool {
 		return true
 	}
 	p.Wait(func(done func()) {
-		resumed := false
-		wake := func() {
-			if resumed {
-				return
+		woken := new(bool)
+		s.wait = append(s.wait, signalWaiter{done: done, woken: woken})
+		s.eng.After(d, func() {
+			if !*woken {
+				*woken = true
+				s.eng.After(0, done)
 			}
-			resumed = true
-			s.eng.After(0, done)
-		}
-		s.wait = append(s.wait, wake)
-		s.eng.After(d, wake)
+		})
 	})
 	return s.fired
 }
@@ -220,8 +244,8 @@ func (w *WaitGroup) Done() {
 	if w.n == 0 {
 		waiters := w.wait
 		w.wait = nil
-		for _, fn := range waiters {
-			fn()
+		for _, done := range waiters {
+			w.eng.After(0, done)
 		}
 	}
 }
@@ -232,6 +256,6 @@ func (w *WaitGroup) WaitFor(p *Proc) {
 		return
 	}
 	p.Wait(func(done func()) {
-		w.wait = append(w.wait, func() { w.eng.After(0, done) })
+		w.wait = append(w.wait, done)
 	})
 }
