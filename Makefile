@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench perf-smoke profile
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench perf-smoke fuzz-smoke profile
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -16,7 +16,7 @@ tier1: build test
 # the full 64-point crash-recovery harness plus the exhaustive journal
 # crash-point sweep; test runs the whole suite without the race detector
 # (including the long tests -short skips, e.g. the golden experiment run).
-ci: vet fmt-check build test race crash $(DET_TARGETS) perf-smoke
+ci: vet fmt-check build test race crash $(DET_TARGETS) perf-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,6 +63,15 @@ perf-smoke:
 		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 > /dev/null; \
 	done
 	@echo "perf-smoke: every workload ran clean"
+
+# fuzz-smoke runs each native fuzz target for 10 s beyond its checked-in seed
+# corpus (testdata/fuzz/, which plain `go test` already replays). Each target
+# checks a sparse store against a dense reference model.
+FUZZ_TARGETS := FuzzMemory:./internal/hostmem FuzzStore:./internal/blockdev
+fuzz-smoke:
+	@set -e; for ft in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${ft%%:*}$$" -fuzztime 10s -parallel 2 $${ft#*:}; \
+	done
 
 # <exp>-det regenerates one experiment twice in separate processes and fails
 # unless both runs and the checked-in results/<exp>.json are byte-identical

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -369,4 +370,22 @@ func TestPlatformDeterminism(t *testing.T) {
 	if a, b := runOnce(), runOnce(); a != b {
 		t.Fatalf("identical runs diverged: %v vs %v", a, b)
 	}
+}
+
+// TestPlatformFootprint guards the sparse host memory and medium store: a
+// default platform models 512 MB of host memory and a 128 MB medium, and
+// building one must allocate only a small fraction of that (the dense
+// layout allocated ~670 MB).
+func TestPlatformFootprint(t *testing.T) {
+	const limit = 670 << 20 / 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pl := NewPlatform(DefaultConfig())
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= limit {
+		t.Fatalf("NewPlatform(DefaultConfig()) allocated %d MB, limit %d MB", got>>20, limit>>20)
+	}
+	t.Logf("NewPlatform(DefaultConfig()) allocated %d KB", got>>10)
+	runtime.KeepAlive(pl)
 }

@@ -14,6 +14,7 @@
 package blockdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -37,32 +38,58 @@ type writeRecord struct {
 	guard uint32
 }
 
+const (
+	// chunkTarget is the size of one lazily allocated unit of block storage.
+	chunkTarget = 4096
+	// slabChunks chunks share one backing array, so the collector tracks a
+	// few large objects instead of one per chunk.
+	slabShift  = 6
+	slabChunks = 1 << slabShift
+)
+
 // Store is the functional block space: numBlocks blocks of blockSize bytes,
 // each carrying an out-of-band CRC-32C guard tag maintained on write.
+//
+// Block contents are stored sparsely in chunks of about 4 KiB, allocated on
+// the first non-zero write. An absent chunk reads as zeros, and its blocks'
+// stored guards are the zero block's guard until they are written.
 type Store struct {
-	blockSize int
-	numBlocks int64
-	data      []byte
+	blockSize   int
+	numBlocks   int64
+	chunkBlocks int64
+	chunkBytes  int
+	// chunkOf[c] is 1 + the storage slot of chunk c, or 0 while the chunk is
+	// absent (all zeros).
+	chunkOf []int32
+	slabs   [][]byte
+	used    int32
+	// zeros is one zero chunk, never written.
+	zeros     []byte
+	zeroGuard uint32
 	guards    []uint32
 
 	logging  bool
 	writeLog []writeRecord
 }
 
-// NewStore allocates a zeroed block space.
+// NewStore returns a zeroed block space.
 func NewStore(blockSize int, numBlocks int64) *Store {
 	if blockSize <= 0 || numBlocks <= 0 {
 		panic("blockdev: invalid geometry")
 	}
+	cb := int64(max(1, chunkTarget/blockSize))
 	s := &Store{
-		blockSize: blockSize,
-		numBlocks: numBlocks,
-		data:      make([]byte, int64(blockSize)*numBlocks),
-		guards:    make([]uint32, numBlocks),
+		blockSize:   blockSize,
+		numBlocks:   numBlocks,
+		chunkBlocks: cb,
+		chunkBytes:  int(cb) * blockSize,
+		chunkOf:     make([]int32, (numBlocks+cb-1)/cb),
+		zeros:       make([]byte, int(cb)*blockSize),
+		guards:      make([]uint32, numBlocks),
 	}
-	zero := BlockGuard(s.data[:blockSize])
+	s.zeroGuard = BlockGuard(s.zeros[:blockSize])
 	for i := range s.guards {
-		s.guards[i] = zero
+		s.guards[i] = s.zeroGuard
 	}
 	return s
 }
@@ -84,19 +111,80 @@ func (s *Store) checkRange(lba int64, n int) error {
 	return nil
 }
 
+// chunk returns the bytes of chunk c, or nil while it is absent. With
+// create set an absent chunk is allocated (zeroed) first.
+func (s *Store) chunk(c int64, create bool) []byte {
+	slot := s.chunkOf[c]
+	if slot == 0 {
+		if !create {
+			return nil
+		}
+		if s.used&(slabChunks-1) == 0 {
+			s.slabs = append(s.slabs, make([]byte, slabChunks*s.chunkBytes))
+		}
+		s.used++
+		slot = s.used
+		s.chunkOf[c] = slot
+	}
+	slot--
+	off := int(slot&(slabChunks-1)) * s.chunkBytes
+	return s.slabs[slot>>slabShift][off : off+s.chunkBytes]
+}
+
+// each calls fn for every piece of [lba, lba+len(p)/blockSize) that falls in
+// one chunk: the chunk index, the byte offset of the piece inside the chunk,
+// and the matching window of p.
+func (s *Store) each(lba int64, p []byte, fn func(c int64, off int, q []byte)) {
+	bs := int64(s.blockSize)
+	for len(p) > 0 {
+		c := lba / s.chunkBlocks
+		in := lba - c*s.chunkBlocks
+		n := min(int64(len(p)), (s.chunkBlocks-in)*bs)
+		fn(c, int(in*bs), p[:n])
+		lba += n / bs
+		p = p[n:]
+	}
+}
+
+// readRaw copies blocks starting at lba into p (range already checked).
+func (s *Store) readRaw(lba int64, p []byte) {
+	s.each(lba, p, func(c int64, off int, q []byte) {
+		if ch := s.chunk(c, false); ch != nil {
+			copy(q, ch[off:])
+		} else {
+			clear(q)
+		}
+	})
+}
+
+// writeRaw stores p at lba (range already checked). Zero pieces that land in
+// absent chunks store nothing: those blocks already read as zeros.
+func (s *Store) writeRaw(lba int64, p []byte) {
+	s.each(lba, p, func(c int64, off int, q []byte) {
+		ch := s.chunk(c, false)
+		if ch == nil {
+			if bytes.Equal(q, s.zeros[:len(q)]) {
+				return
+			}
+			ch = s.chunk(c, true)
+		}
+		copy(ch[off:], q)
+	})
+}
+
 // ReadBlocks copies whole blocks starting at lba into p (whose length must
 // be a block multiple).
 func (s *Store) ReadBlocks(lba int64, p []byte) error {
 	if err := s.checkRange(lba, len(p)); err != nil {
 		return err
 	}
-	copy(p, s.data[lba*int64(s.blockSize):])
+	s.readRaw(lba, p)
 	return nil
 }
 
 // WriteBlocks copies whole blocks from p to the store starting at lba,
 // recomputing each block's guard tag (and logging pre-images when the crash
-// write log is enabled).
+// write log is enabled). p is not retained.
 func (s *Store) WriteBlocks(lba int64, p []byte) error {
 	if err := s.checkRange(lba, len(p)); err != nil {
 		return err
@@ -107,11 +195,11 @@ func (s *Store) WriteBlocks(lba int64, p []byte) error {
 		for i := int64(0); i < blocks; i++ {
 			b := lba + i
 			pre := make([]byte, bs)
-			copy(pre, s.data[b*bs:])
+			s.readRaw(b, pre)
 			s.writeLog = append(s.writeLog, writeRecord{lba: b, data: pre, guard: s.guards[b]})
 		}
 	}
-	copy(s.data[lba*bs:], p)
+	s.writeRaw(lba, p)
 	for i := int64(0); i < blocks; i++ {
 		s.guards[lba+i] = BlockGuard(p[i*bs : (i+1)*bs])
 	}
@@ -123,13 +211,24 @@ func (s *Store) Guard(lba int64) uint32 { return s.guards[lba] }
 
 // VerifyGuards recomputes every block's guard and returns the LBAs whose
 // stored tag no longer matches the data — the full-device scrub/fsck check
-// used by the crash harness. A clean device returns an empty slice.
+// used by the crash harness. A clean device returns an empty slice. Blocks
+// of absent chunks hold zeros, so their stored tag is compared with the zero
+// block's guard without reading anything.
 func (s *Store) VerifyGuards() []int64 {
 	var bad []int64
-	bs := int64(s.blockSize)
-	for b := int64(0); b < s.numBlocks; b++ {
-		if BlockGuard(s.data[b*bs:(b+1)*bs]) != s.guards[b] {
-			bad = append(bad, b)
+	bs := s.blockSize
+	for c := range s.chunkOf {
+		ch := s.chunk(int64(c), false)
+		first := int64(c) * s.chunkBlocks
+		for b := first; b < min(first+s.chunkBlocks, s.numBlocks); b++ {
+			want := s.zeroGuard
+			if ch != nil {
+				off := int(b-first) * bs
+				want = BlockGuard(ch[off : off+bs])
+			}
+			if want != s.guards[b] {
+				bad = append(bad, b)
+			}
 		}
 	}
 	return bad
@@ -153,23 +252,13 @@ func (s *Store) Rollback(n int) int {
 	if n > len(s.writeLog) {
 		n = len(s.writeLog)
 	}
-	bs := int64(s.blockSize)
 	for i := 0; i < n; i++ {
 		rec := s.writeLog[len(s.writeLog)-1-i]
-		copy(s.data[rec.lba*bs:], rec.data)
+		s.writeRaw(rec.lba, rec.data)
 		s.guards[rec.lba] = rec.guard
 	}
 	s.writeLog = s.writeLog[:len(s.writeLog)-n]
 	return n
-}
-
-// Slice exposes the live bytes of a block range for zero-copy device paths.
-func (s *Store) Slice(lba int64, nBlocks int64) ([]byte, error) {
-	if lba < 0 || nBlocks < 0 || lba+nBlocks > s.numBlocks {
-		return nil, fmt.Errorf("blockdev: slice [%d,%d) outside device", lba, lba+nBlocks)
-	}
-	off := lba * int64(s.blockSize)
-	return s.data[off : off+nBlocks*int64(s.blockSize)], nil
 }
 
 // MediumParams sets the timing of the access port.
@@ -234,6 +323,9 @@ type Medium struct {
 	// IntegrityErrors counts reads that failed guard verification;
 	// RecoveryReads counts slow-path ECC recovery reads.
 	IntegrityErrors, RecoveryReads int64
+
+	idleReads, idleWrites []*mediumOp
+	idleWaits             []*waiter
 }
 
 // NewMedium wraps store with a timed port on engine eng.
@@ -313,39 +405,15 @@ func (m *Medium) Read(lba int64, p []byte, done func(error)) error {
 		})
 		return nil
 	}
-	dec := m.inj.MediumAccess(false, lba, int64(len(p)/m.store.blockSize))
+	op := m.op(false, len(p))
+	op.lba, op.p, op.done = lba, p, done
+	op.dec = m.inj.MediumAccess(false, lba, int64(len(p)/m.store.blockSize))
 	// Fail-slow profiles add chronic extra latency on top of any one-shot
 	// injected delay; the base cost the slowdown factor scales is the
 	// operation's own service time (fixed latency + serialization).
-	slow := m.inj.DegradeDelay(m.dev,
+	op.slow = m.inj.DegradeDelay(m.dev,
 		m.params.ReadLatency+sim.BytesTime(int64(len(p)), m.params.ReadBandwidth), m.eng.Now())
-	m.readPort.Transfer(int64(len(p)), func() {
-		m.finish(dec.Delay+slow, func() {
-			if dec.Fault {
-				m.ReadFaults++
-				done(fmt.Errorf("%w: read of %d blocks at lba %d", ErrMedium, len(p)/m.store.blockSize, lba))
-				return
-			}
-			if err := m.store.ReadBlocks(lba, p); err != nil {
-				panic(err)
-			}
-			bs := m.store.blockSize
-			for _, b := range dec.CorruptBlocks {
-				off := int(b-lba) * bs
-				fault.Flip(p[off:off+bs], uint64(b))
-			}
-			if !m.noGuard {
-				for i := 0; i*bs < len(p); i++ {
-					if BlockGuard(p[i*bs:(i+1)*bs]) != m.store.guards[lba+int64(i)] {
-						m.IntegrityErrors++
-						done(fmt.Errorf("%w: guard mismatch at lba %d", ErrIntegrity, lba+int64(i)))
-						return
-					}
-				}
-			}
-			done(nil)
-		})
-	})
+	m.readPort.Transfer(int64(len(p)), op.transferred)
 	return nil
 }
 
@@ -365,57 +433,170 @@ func (m *Medium) Write(lba int64, p []byte, done func(error)) error {
 		})
 		return nil
 	}
-	dec := m.inj.MediumAccess(true, lba, int64(len(p)/m.store.blockSize))
-	slow := m.inj.DegradeDelay(m.dev,
+	op := m.op(true, len(p))
+	op.lba, op.done = lba, done
+	op.dec = m.inj.MediumAccess(true, lba, int64(len(p)/m.store.blockSize))
+	op.slow = m.inj.DegradeDelay(m.dev,
 		m.params.WriteLatency+sim.BytesTime(int64(len(p)), m.params.WriteBandwidth), m.eng.Now())
-	data := make([]byte, len(p))
-	copy(data, p)
-	m.writePort.Transfer(int64(len(p)), func() {
-		m.finish(dec.Delay+slow, func() {
-			if dec.Fault {
-				m.WriteFaults++
-				done(fmt.Errorf("%w: write of %d blocks at lba %d", ErrMedium, len(data)/m.store.blockSize, lba))
-				return
+	copy(op.data, p)
+	m.writePort.Transfer(int64(len(p)), op.transferred)
+	return nil
+}
+
+// mediumOp is one in-flight Read or Write: its parameters, a write's payload
+// snapshot and the completion callbacks, built once per op. Completed ops
+// wait on short idle lists for reuse, so steady-state accesses allocate
+// nothing.
+type mediumOp struct {
+	m     *Medium
+	write bool
+	lba   int64
+	// p is a read's destination; data is a write's snapshot, owned by the op.
+	p, data     []byte
+	dec         fault.MediumDecision
+	slow        sim.Time
+	done        func(error)
+	transferred func()
+	complete    func()
+}
+
+// maxIdleOps caps each idle list; a completed op finding its list full is
+// dropped, so mixed-size write traffic cannot grow it without limit.
+const maxIdleOps = 32
+
+// op returns an idle op (for a write, one whose snapshot holds exactly n
+// bytes) or a new one.
+func (m *Medium) op(write bool, n int) *mediumOp {
+	idle := &m.idleReads
+	if write {
+		idle = &m.idleWrites
+	}
+	for i := len(*idle) - 1; i >= 0; i-- {
+		if op := (*idle)[i]; !write || len(op.data) == n {
+			last := len(*idle) - 1
+			(*idle)[i] = (*idle)[last]
+			(*idle)[last] = nil
+			*idle = (*idle)[:last]
+			return op
+		}
+	}
+	op := &mediumOp{m: m, write: write}
+	if write {
+		op.data = make([]byte, n)
+	}
+	op.transferred = func() { m.finish(op.dec.Delay+op.slow, op.complete) }
+	op.complete = op.finishOp
+	return op
+}
+
+// finishOp applies the access, returns the op to its idle list and reports
+// to the caller.
+func (op *mediumOp) finishOp() {
+	m, done := op.m, op.done
+	var err error
+	idle := &m.idleWrites
+	if op.write {
+		err = op.applyWrite()
+	} else {
+		err = op.applyRead()
+		idle = &m.idleReads
+	}
+	op.p, op.done, op.dec = nil, nil, fault.MediumDecision{}
+	if len(*idle) < maxIdleOps {
+		*idle = append(*idle, op)
+	}
+	done(err)
+}
+
+func (op *mediumOp) applyWrite() error {
+	m := op.m
+	if op.dec.Fault {
+		m.WriteFaults++
+		return fmt.Errorf("%w: write of %d blocks at lba %d", ErrMedium, len(op.data)/m.store.blockSize, op.lba)
+	}
+	if err := m.store.WriteBlocks(op.lba, op.data); err != nil {
+		panic(err)
+	}
+	return nil
+}
+
+func (op *mediumOp) applyRead() error {
+	m, lba, p := op.m, op.lba, op.p
+	if op.dec.Fault {
+		m.ReadFaults++
+		return fmt.Errorf("%w: read of %d blocks at lba %d", ErrMedium, len(p)/m.store.blockSize, lba)
+	}
+	if err := m.store.ReadBlocks(lba, p); err != nil {
+		panic(err)
+	}
+	bs := m.store.blockSize
+	for _, b := range op.dec.CorruptBlocks {
+		off := int(b-lba) * bs
+		fault.Flip(p[off:off+bs], uint64(b))
+	}
+	if !m.noGuard {
+		for i := 0; i*bs < len(p); i++ {
+			if BlockGuard(p[i*bs:(i+1)*bs]) != m.store.guards[lba+int64(i)] {
+				m.IntegrityErrors++
+				return fmt.Errorf("%w: guard mismatch at lba %d", ErrIntegrity, lba+int64(i))
 			}
-			if err := m.store.WriteBlocks(lba, data); err != nil {
-				panic(err)
-			}
-			done(nil)
-		})
-	})
+		}
+	}
 	return nil
 }
 
 // ReadP and WriteP are process-style forms.
 
-// ReadP performs Read and blocks the process until completion.
-func (m *Medium) ReadP(p *sim.Proc, lba int64, buf []byte) error {
-	var err error
+// waiter carries one ReadP/WriteP result from the completion callback back
+// to the blocked process; waiters are reused so the P-forms allocate
+// nothing.
+type waiter struct {
+	err  error
+	done func()
+	cb   func(error)
+}
+
+func (m *Medium) waiter() *waiter {
+	if k := len(m.idleWaits); k > 0 {
+		w := m.idleWaits[k-1]
+		m.idleWaits[k-1] = nil
+		m.idleWaits = m.idleWaits[:k-1]
+		return w
+	}
+	w := &waiter{}
+	w.cb = func(err error) {
+		w.err = err
+		w.done()
+	}
+	return w
+}
+
+// wait blocks p on one callback-form operation started by start.
+func (m *Medium) wait(p *sim.Proc, start func(cb func(error)) error) error {
+	w := m.waiter()
 	p.Wait(func(done func()) {
-		if e := m.Read(lba, buf, func(opErr error) {
-			err = opErr
-			done()
-		}); e != nil {
-			err = e
+		w.done = done
+		if err := start(w.cb); err != nil {
+			w.err = err
 			done()
 		}
 	})
+	err := w.err
+	w.err, w.done = nil, nil
+	if len(m.idleWaits) < maxIdleOps {
+		m.idleWaits = append(m.idleWaits, w)
+	}
 	return err
+}
+
+// ReadP performs Read and blocks the process until completion.
+func (m *Medium) ReadP(p *sim.Proc, lba int64, buf []byte) error {
+	return m.wait(p, func(cb func(error)) error { return m.Read(lba, buf, cb) })
 }
 
 // WriteP performs Write and blocks the process until completion.
 func (m *Medium) WriteP(p *sim.Proc, lba int64, buf []byte) error {
-	var err error
-	p.Wait(func(done func()) {
-		if e := m.Write(lba, buf, func(opErr error) {
-			err = opErr
-			done()
-		}); e != nil {
-			err = e
-			done()
-		}
-	})
-	return err
+	return m.wait(p, func(cb func(error)) error { return m.Write(lba, buf, cb) })
 }
 
 // recoveryPenalty is the extra per-operation latency of a heroic recovery

@@ -49,12 +49,11 @@ func TestStoreValidation(t *testing.T) {
 	if err := s.WriteBlocks(-1, make([]byte, 512)); err == nil {
 		t.Fatal("negative LBA accepted")
 	}
-	if _, err := s.Slice(6, 4); err == nil {
-		t.Fatal("oversized slice accepted")
+	if err := s.ReadBlocks(6, make([]byte, 4*512)); err == nil {
+		t.Fatal("oversized read accepted")
 	}
-	sl, err := s.Slice(2, 2)
-	if err != nil || len(sl) != 1024 {
-		t.Fatalf("slice = %d bytes, %v", len(sl), err)
+	if err := s.ReadBlocks(2, make([]byte, 2*512)); err != nil {
+		t.Fatalf("in-range two-block read: %v", err)
 	}
 }
 
@@ -279,5 +278,87 @@ func TestMediumInjectedDelay(t *testing.T) {
 	slow := elapsed(40 * sim.Microsecond)
 	if slow != base+40*sim.Microsecond {
 		t.Fatalf("injected delay: base=%v slow=%v", base, slow)
+	}
+}
+
+func TestStoreAbsentBlocksCarryZeroGuard(t *testing.T) {
+	s := NewStore(1024, 64)
+	zero := BlockGuard(make([]byte, 1024))
+	// All-zero writes into absent chunks store nothing.
+	if err := s.WriteBlocks(8, make([]byte, 8*1024)); err != nil {
+		t.Fatal(err)
+	}
+	if s.used != 0 {
+		t.Fatalf("zero writes allocated %d chunks", s.used)
+	}
+	for b := int64(0); b < 64; b++ {
+		if s.Guard(b) != zero {
+			t.Fatalf("block %d guard %#x, want the zero guard %#x", b, s.Guard(b), zero)
+		}
+	}
+	if bad := s.VerifyGuards(); len(bad) != 0 {
+		t.Fatalf("fresh store reports bad guards %v", bad)
+	}
+	// A corrupted tag on a never-written block is still reported.
+	s.guards[40] ^= 1
+	if bad := s.VerifyGuards(); len(bad) != 1 || bad[0] != 40 {
+		t.Fatalf("VerifyGuards = %v, want [40]", bad)
+	}
+}
+
+func TestMediumWriteSteadyStateAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMedium(eng, NewStore(1024, 64), DefaultMediumParams())
+	p := bytes.Repeat([]byte{7}, 4096)
+	var werr error
+	done := func(err error) { werr = err }
+	write := func() {
+		if err := m.Write(8, p, done); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if werr != nil {
+			t.Fatal(werr)
+		}
+	}
+	write() // allocates the chunk and the first snapshot
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Fatalf("steady-state Medium.Write allocates %v times, want 0", allocs)
+	}
+	var allocs float64
+	eng.Go("io", func(proc *sim.Proc) {
+		buf := make([]byte, 4096)
+		rw := func() {
+			if err := m.WriteP(proc, 8, p); err != nil {
+				t.Error(err)
+			}
+			if err := m.ReadP(proc, 8, buf); err != nil {
+				t.Error(err)
+			}
+		}
+		rw()
+		allocs = testing.AllocsPerRun(100, rw)
+	})
+	eng.Run()
+	if allocs != 0 {
+		t.Fatalf("steady-state WriteP+ReadP allocates %v times, want 0", allocs)
+	}
+}
+
+func TestMediumWriteIdleListBounded(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMedium(eng, NewStore(1024, 256), DefaultMediumParams())
+	// Many writes of mixed sizes in flight at once, then all complete.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4*maxIdleOps; i++ {
+			n := 1 + i%32
+			if err := m.Write(int64(i%8)*32, make([]byte, n*1024), func(error) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+		if len(m.idleWrites) > maxIdleOps {
+			t.Fatalf("idle list holds %d ops, cap %d", len(m.idleWrites), maxIdleOps)
+		}
 	}
 }

@@ -29,6 +29,16 @@ type rig struct {
 	missMSIs    int
 }
 
+// readStore copies n blocks at lba out of the medium's store.
+func readStore(t *testing.T, st *blockdev.Store, lba, n int64) []byte {
+	t.Helper()
+	b := make([]byte, n*int64(st.BlockSize()))
+	if err := st.ReadBlocks(lba, b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func newRig(t *testing.T, p Params) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -202,7 +212,7 @@ func TestPFReadWriteRoundTrip(t *testing.T) {
 			t.Error("PF round trip mismatch")
 		}
 		// The data must physically live at pLBA 100.
-		sl, _ := r.ctl.Medium.Store().Slice(100, 8)
+		sl := readStore(t, r.ctl.Medium.Store(), 100, 8)
 		if !bytes.Equal(sl, src) {
 			t.Error("data not at pLBA 100")
 		}
@@ -235,8 +245,8 @@ func TestVFTranslatedIO(t *testing.T) {
 			t.Errorf("write status %d", st)
 		}
 		// Physical placement respects the extent map.
-		lo, _ := r.ctl.Medium.Store().Slice(500, 8)
-		hi, _ := r.ctl.Medium.Store().Slice(200, 8)
+		lo := readStore(t, r.ctl.Medium.Store(), 500, 8)
+		hi := readStore(t, r.ctl.Medium.Store(), 200, 8)
 		if !bytes.Equal(lo, src[:8192]) || !bytes.Equal(hi, src[8192:]) {
 			t.Error("translated write landed at wrong pLBAs")
 		}
@@ -292,7 +302,7 @@ func TestVFIsolation(t *testing.T) {
 			t.Errorf("out-of-range read status %d", st)
 		}
 		// VF2's physical blocks are untouched by VF1's writes.
-		sl, _ := r.ctl.Medium.Store().Slice(300, 4)
+		sl := readStore(t, r.ctl.Medium.Store(), 300, 4)
 		if !bytes.Equal(sl, secret) {
 			t.Error("isolation violated: VF1 affected VF2's blocks")
 		}
@@ -388,7 +398,7 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 			t.Errorf("miss write status %d", st)
 		}
 		// The hypervisor mapped vLBA 5 -> pLBA 605.
-		sl, _ := r.ctl.Medium.Store().Slice(605, 1)
+		sl := readStore(t, r.ctl.Medium.Store(), 605, 1)
 		if sl[0] != 0x77 {
 			t.Error("allocated write did not land at the hypervisor-assigned pLBA")
 		}
@@ -738,10 +748,7 @@ func TestRandomIOModelProperty(t *testing.T) {
 		// Cross-check physical placement for both VFs.
 		verify := func(runs []extent.Run, shadow []byte) {
 			for _, rn := range runs {
-				sl, err := store.Slice(int64(rn.Physical), int64(rn.Count))
-				if err != nil {
-					t.Fatal(err)
-				}
+				sl := readStore(t, store, int64(rn.Physical), int64(rn.Count))
 				if !bytes.Equal(sl, shadow[rn.Logical*1024:(rn.Logical+rn.Count)*1024]) {
 					t.Fatalf("physical block %d does not match shadow", rn.Physical)
 				}

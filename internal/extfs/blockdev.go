@@ -21,6 +21,9 @@ type BlockDev interface {
 	BlockSize() int
 	NumBlocks() int64
 	ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error
+	// WriteBlocks writes p (a whole number of blocks) at lba. It must not
+	// modify p or keep it after returning: callers pass shared read-only
+	// buffers, such as the zero image that backs newly allocated runs.
 	WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error
 	// Flush orders previously written data onto stable storage.
 	Flush(ctx *sim.Proc) error

@@ -49,11 +49,11 @@ func (d *recordingDev) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 
 // snapshot copies the device's full image.
 func snapshot(d *MemDev) []byte {
-	img, err := d.S.Slice(0, d.S.NumBlocks())
-	if err != nil {
+	img := make([]byte, d.S.NumBlocks()*int64(d.S.BlockSize()))
+	if err := d.S.ReadBlocks(0, img); err != nil {
 		panic(err)
 	}
-	return append([]byte(nil), img...)
+	return img
 }
 
 // devFrom builds a fresh device holding image img.

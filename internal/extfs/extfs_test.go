@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"nesc/internal/sim"
@@ -746,4 +747,26 @@ func TestTinyJournalStillWorks(t *testing.T) {
 	if err := fs.Check(nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The shared zero image is reached by every filesystem in the process, so
+// platforms running on several goroutines must see only zeros from it while
+// it grows.
+func TestSharedZeroImageConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= 64; i++ {
+				n := (i*7+g)%64*1024 + 1024
+				z := zeros(n)
+				if len(z) != n || cap(z) != n || !bytes.Equal(z, make([]byte, n)) {
+					t.Errorf("zeros(%d) returned %d bytes (cap %d) or non-zero bytes", n, len(z), cap(z))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"nesc/internal/extent"
 	"nesc/internal/sim"
@@ -100,9 +101,25 @@ func (fs *FS) ensureAllocated(ctx *sim.Proc, in *inode, lblk, n uint64, zeroFill
 }
 
 func (fs *FS) zeroBlocks(ctx *sim.Proc, pblk, n uint64) error {
-	img := make([]byte, int(n)*fs.bs)
 	fs.DataBlockWrites += int64(n)
-	return fs.devWrite(ctx, int64(pblk), img)
+	return fs.devWrite(ctx, int64(pblk), zeros(int(n)*fs.bs))
+}
+
+// zeroImage is one process-wide zero buffer shared by every zeroBlocks call.
+// It only grows and is never written, which BlockDev.WriteBlocks guarantees.
+var zeroImage struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// zeros returns n zero bytes from the shared zero buffer.
+func zeros(n int) []byte {
+	zeroImage.mu.Lock()
+	defer zeroImage.mu.Unlock()
+	if len(zeroImage.buf) < n {
+		zeroImage.buf = make([]byte, n)
+	}
+	return zeroImage.buf[:n:n]
 }
 
 // readRange reads len(p) bytes at byte offset off from the inode's data,

@@ -240,3 +240,99 @@ func TestAllocatorConservationProperty(t *testing.T) {
 		t.Fatalf("leaked: free=%d initial=%d", m.FreeBytes(), initial)
 	}
 }
+
+func TestSliceInsideAllocationIsLive(t *testing.T) {
+	m := New(1 << 16)
+	a := m.MustAlloc(3*pageSize, 64) // spans several pages
+	s, err := m.Slice(a+100, 2*pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[0], s[len(s)-1] = 0xAB, 0xCD
+	b := make([]byte, 1)
+	if err := m.Read(a+100, b); err != nil || b[0] != 0xAB {
+		t.Fatalf("write through Slice not visible at start: % x, %v", b, err)
+	}
+	if err := m.Read(a+100+2*pageSize-1, b); err != nil || b[0] != 0xCD {
+		t.Fatalf("write through Slice not visible at end: % x, %v", b, err)
+	}
+	if err := m.WriteU32(a+200, 0x01020304); err != nil {
+		t.Fatal(err)
+	}
+	if s[100] != 1 || s[103] != 4 {
+		t.Fatalf("memory write not visible through Slice: % x", s[100:104])
+	}
+}
+
+func TestSliceAcrossUnallocatedPagesErrors(t *testing.T) {
+	m := New(1 << 16)
+	if _, err := m.Slice(pageSize-8, 16); err == nil {
+		t.Fatal("Slice across two unallocated pages succeeded")
+	}
+	a := m.MustAlloc(128, 64)
+	if _, err := m.Slice(a+64, 128); err == nil {
+		t.Fatal("Slice running past the end of an allocation succeeded")
+	}
+	b := m.MustAlloc(128, 64)
+	if b != a+128 {
+		t.Fatalf("second allocation at %#x, want %#x", b, a+128)
+	}
+	if _, err := m.Slice(a, 256); err == nil {
+		t.Fatal("Slice spanning two adjacent allocations succeeded")
+	}
+}
+
+// Flat semantics: bytes keep their values across Alloc and Free, and bytes
+// outside allocations behave like ordinary memory.
+func TestBytesSurviveAllocatorCalls(t *testing.T) {
+	m := New(1 << 16)
+	if err := m.Write(5000, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	a := m.MustAlloc(pageSize*2, 4096) // covers 5000 (first aligned base is 4096)
+	if a > 5000 || a+2*pageSize <= 5002 {
+		t.Fatalf("allocation %#x does not cover the written bytes", a)
+	}
+	s, err := m.Slice(5000, 3)
+	if err != nil || !bytes.Equal(s, []byte{1, 2, 3}) {
+		t.Fatalf("Alloc lost the bytes it covers: % x, %v", s, err)
+	}
+	s[1] = 9
+	if err := m.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 3)
+	if err := m.Read(5000, got); err != nil || !bytes.Equal(got, []byte{1, 9, 3}) {
+		t.Fatalf("Free lost the allocation's bytes: % x, %v", got, err)
+	}
+	b := m.MustAlloc(16, 4096)
+	if b != a {
+		t.Fatalf("re-allocation at %#x, want %#x", b, a)
+	}
+	if v, err := m.ReadU32(b); err != nil || v != 0 {
+		t.Fatalf("re-allocation reads %#x, %v; want the zeros left there", v, err)
+	}
+}
+
+func TestZeroWritesCreateNoBacking(t *testing.T) {
+	m := New(1 << 20)
+	if err := m.Write(3*pageSize+10, make([]byte, 2*pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteU64(9*pageSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Zero(0, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if m.head != 0 {
+		t.Fatal("zero writes created backing memory")
+	}
+	a := m.MustAlloc(pageSize, 8)
+	if err := m.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if m.head != 0 {
+		t.Fatal("freeing an all-zero allocation kept its backing memory")
+	}
+}

@@ -354,6 +354,11 @@ func (pd *PFDisk) NumBlocks() int64 { return pd.d.Ctl.Medium.Store().NumBlocks()
 
 func (pd *PFDisk) ensure(n int) guest.Buffer {
 	if len(pd.bounce.Data) < n {
+		if pd.bounce.Addr != 0 {
+			if err := pd.d.h.Mem.Free(pd.bounce.Addr); err != nil {
+				panic(err)
+			}
+		}
 		addr := pd.d.h.Mem.MustAlloc(int64(n), 64)
 		data, err := pd.d.h.Mem.Slice(addr, int64(n))
 		if err != nil {

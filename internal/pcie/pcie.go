@@ -144,6 +144,9 @@ type Fabric struct {
 	// function's allocated range; they are dropped, as real MSI hardware
 	// would.
 	BadMSIVectors int64
+
+	idleDMA   []*dmaOp
+	idleSnaps [][]byte
 }
 
 // New creates a fabric over the given engine and host memory.
@@ -262,18 +265,103 @@ func (f *Fabric) DMARead(from FnID, addr hostmem.Addr, p []byte, done func()) er
 	f.DMAReads++
 	f.DMAReadBytes += int64(len(p))
 	n := int64(len(p))
-	wire := n + f.tlpCount(n)*f.Params.TLPOverheadBytes
-	f.Eng.After(f.Params.DMARequestLatency+dec.Delay, func() {
-		f.toDev.Transfer(wire, func() {
-			// Snapshot memory at completion time: DMA sees the bytes present
-			// when the data phase finishes.
-			if err := f.Mem.Read(addr, p); err != nil {
-				panic(err) // range was validated above; failure is a model bug
-			}
-			done()
-		})
-	})
+	op := f.dmaOp()
+	op.kind, op.addr, op.buf, op.wire, op.done = dmaRead, addr, p, n+f.tlpCount(n)*f.Params.TLPOverheadBytes, done
+	f.Eng.After(f.Params.DMARequestLatency+dec.Delay, op.request)
 	return nil
+}
+
+// dmaOp is one in-flight DMA and its stage callbacks, built once per op;
+// completed ops wait on an idle list, so steady-state DMA allocates nothing.
+type dmaOp struct {
+	f    *Fabric
+	kind dmaKind
+	addr hostmem.Addr
+	// buf is a read's destination, or a write's snapshot of its payload
+	// (owned by the op and reused).
+	buf   []byte
+	n     int64 // bytes to zero
+	wire  int64
+	delay sim.Time
+	done  func()
+	// request starts a read's data phase; drained ends a posted write's
+	// wire time; land touches host memory and completes.
+	request, drained, land func()
+}
+
+type dmaKind uint8
+
+const (
+	dmaRead dmaKind = iota
+	dmaWrite
+	dmaZero
+)
+
+// maxIdleDMA caps the idle op list.
+const maxIdleDMA = 64
+
+func (f *Fabric) dmaOp() *dmaOp {
+	if k := len(f.idleDMA); k > 0 {
+		op := f.idleDMA[k-1]
+		f.idleDMA[k-1] = nil
+		f.idleDMA = f.idleDMA[:k-1]
+		return op
+	}
+	op := &dmaOp{f: f}
+	op.request = func() { f.toDev.Transfer(op.wire, op.land) }
+	op.drained = func() { f.after(op.delay, op.land) }
+	op.land = op.complete
+	return op
+}
+
+// complete performs the memory side of the DMA at the end of its data
+// phase — a read snapshots memory now, so it sees the bytes present when the
+// data phase finishes — then recycles the op and signals done.
+func (op *dmaOp) complete() {
+	f, done := op.f, op.done
+	var err error
+	switch op.kind {
+	case dmaRead:
+		err = f.Mem.Read(op.addr, op.buf)
+		op.buf = nil
+	case dmaWrite:
+		err = f.Mem.Write(op.addr, op.buf)
+		if len(f.idleSnaps) < maxIdleDMA {
+			f.idleSnaps = append(f.idleSnaps, op.buf)
+		}
+		op.buf = nil
+	case dmaZero:
+		err = f.Mem.Zero(op.addr, op.n)
+	}
+	if err != nil {
+		panic(err) // range was validated when the DMA started; failure is a model bug
+	}
+	op.done = nil
+	if len(f.idleDMA) < maxIdleDMA {
+		f.idleDMA = append(f.idleDMA, op)
+	}
+	done()
+}
+
+// snapshot returns a copy of p in a buffer reused from completed writes of
+// the same size when one is idle.
+func (f *Fabric) snapshot(p []byte) []byte {
+	var b []byte
+	for i := len(f.idleSnaps) - 1; i >= 0; i-- {
+		if len(f.idleSnaps[i]) == len(p) {
+			b = f.idleSnaps[i]
+			last := len(f.idleSnaps) - 1
+			f.idleSnaps[i] = f.idleSnaps[last]
+			f.idleSnaps[last] = nil
+			f.idleSnaps = f.idleSnaps[:last]
+			break
+		}
+	}
+	if b == nil {
+		b = make([]byte, len(p))
+	}
+	copy(b, p)
+	return b
 }
 
 // DMAWrite copies p into host memory at addr on behalf of function `from`,
@@ -290,17 +378,9 @@ func (f *Fabric) DMAWrite(from FnID, addr hostmem.Addr, p []byte, done func()) e
 	f.DMAWrites++
 	f.DMAWriteBytes += int64(len(p))
 	n := int64(len(p))
-	wire := n + f.tlpCount(n)*f.Params.TLPOverheadBytes
-	data := make([]byte, len(p))
-	copy(data, p)
-	f.toHost.Transfer(wire, func() {
-		f.after(dec.Delay, func() {
-			if err := f.Mem.Write(addr, data); err != nil {
-				panic(err)
-			}
-			done()
-		})
-	})
+	op := f.dmaOp()
+	op.kind, op.addr, op.buf, op.delay, op.done = dmaWrite, addr, f.snapshot(p), dec.Delay, done
+	f.toHost.Transfer(n+f.tlpCount(n)*f.Params.TLPOverheadBytes, op.drained)
 	return nil
 }
 
@@ -318,15 +398,9 @@ func (f *Fabric) DMAZero(from FnID, addr hostmem.Addr, n int64, done func()) err
 	}
 	f.DMAWrites++
 	f.DMAWriteBytes += n
-	wire := n + f.tlpCount(n)*f.Params.TLPOverheadBytes
-	f.toHost.Transfer(wire, func() {
-		f.after(dec.Delay, func() {
-			if err := f.Mem.Zero(addr, n); err != nil {
-				panic(err)
-			}
-			done()
-		})
-	})
+	op := f.dmaOp()
+	op.kind, op.addr, op.n, op.delay, op.done = dmaZero, addr, n, dec.Delay, done
+	f.toHost.Transfer(n+f.tlpCount(n)*f.Params.TLPOverheadBytes, op.drained)
 	return nil
 }
 

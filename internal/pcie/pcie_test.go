@@ -383,3 +383,31 @@ func TestMSIDropAndDelay(t *testing.T) {
 			f.DroppedMSIs, f.DelayedMSIs, f.MSIs)
 	}
 }
+
+func TestDMASteadyStateAllocatesNothing(t *testing.T) {
+	f, eng, mem := newFabric()
+	fn := f.RegisterFunction("dev")
+	addr, zeroAt := mem.MustAlloc(4096, 64), mem.MustAlloc(512, 64)
+	out := bytes.Repeat([]byte{0x5a}, 4096)
+	in := make([]byte, 4096)
+	done := func() {}
+	round := func() {
+		if err := f.DMAWrite(fn, addr, out, done); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.DMARead(fn, addr, in, done); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.DMAZero(fn, zeroAt, 512, done); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	round() // grows the idle lists and the event heap
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state DMA write+read+zero allocates %v times, want 0", allocs)
+	}
+	if !bytes.Equal(in, out) {
+		t.Fatal("DMA read did not return the written bytes")
+	}
+}
